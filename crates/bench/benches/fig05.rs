@@ -19,7 +19,7 @@ fn main() {
         .filter(|c| c.n_cell <= 2048)
         .collect();
     eprintln!("running {} campaign configurations...", configs.len());
-    let summaries = run_campaign(&configs);
+    let summaries = run_campaign(&configs, None);
 
     let mut plotted: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
     let mut linear_count = 0usize;

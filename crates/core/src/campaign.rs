@@ -9,7 +9,6 @@ use crate::config::{CastroSedovConfig, Engine};
 use crate::run::{run_simulation, run_simulation_attached, RunResult};
 use amr_mesh::GridParams;
 use hydro::TimestepControl;
-use io_engine::{BackendSpec, CodecSpec, ReadSelection, Scenario};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -204,8 +203,8 @@ impl RunSummary {
             compute_wall: r.compute_wall,
             plot_wall: r.plot_wall,
             drain_wall: r.drain_wall,
-            // Solo tenancy defaults; `run_campaign_fabric` overlays the
-            // shared-fabric columns after the tenants join.
+            // Solo tenancy defaults; the fabric runners overlay the
+            // shared-fabric columns (`set_tenancy`) after the run.
             tenant: 0,
             tenants: 1,
             solo_wall: r.wall_time,
@@ -217,6 +216,19 @@ impl RunSummary {
             net_wall: r.net_wall,
             window_stall: r.window_stall,
         }
+    }
+
+    /// Overlays one tenant's shared-fabric columns onto a summary of its
+    /// run: `tenants` sharing the fabric, plus the solo wall, slowdown,
+    /// and stall attribution from the tenant's `stats`.
+    fn set_tenancy(&mut self, stats: &iosim::TenantStats, tenants: usize) {
+        self.tenant = stats.tenant;
+        self.tenants = tenants;
+        self.solo_wall = stats.solo_wall;
+        self.slowdown = stats.slowdown();
+        self.contention_stall = stats.contention_stall;
+        self.throttle_stall = stats.throttle_stall;
+        self.staging_wait = stats.staging_wait;
     }
 
     /// Wall-clock seconds per level-0 cell — the per-cell cost metric the
@@ -334,135 +346,25 @@ pub fn table3_campaign() -> Vec<CastroSedovConfig> {
     runs
 }
 
-/// Expands a set of configurations across a backend axis: every `(run,
-/// backend)` pair becomes one scenario, with the backend name suffixed to
-/// the run label. This is the scenario-matrix product the backend sweeps
-/// (example `backend_sweep`, bench `backend_compare`) build on.
-///
-/// *Legacy shim:* compiles through [`crate::spec::ExperimentSpec`] —
-/// prefer declaring the axis on a spec directly (you also get excludes,
-/// zips, collision-checked labels, and store resume). Property-tested
-/// byte-identical to the original hand-written enumeration.
-pub fn backend_sweep(
-    configs: &[CastroSedovConfig],
-    backends: &[BackendSpec],
-) -> Vec<CastroSedovConfig> {
-    crate::spec::ExperimentSpec::over("backend_sweep", configs)
-        .backends(backends)
-        .compile_configs()
-        .expect("backend_sweep: base run labels collide")
-}
-
-/// Expands a set of configurations across the backend × codec plane:
-/// every `(run, backend, codec)` triple becomes one scenario. This is the
-/// compression-axis generalization of [`backend_sweep`] — the identity
-/// codec column reproduces `backend_sweep` exactly, non-identity columns
-/// add the data-reduction lever (AMRIC-style) on top of each layout.
-///
-/// *Legacy shim:* compiles through [`crate::spec::ExperimentSpec`];
-/// prefer declaring the axes on a spec directly.
-pub fn backend_codec_sweep(
-    configs: &[CastroSedovConfig],
-    backends: &[BackendSpec],
-    codecs: &[CodecSpec],
-) -> Vec<CastroSedovConfig> {
-    crate::spec::ExperimentSpec::over("backend_codec_sweep", configs)
-        .backends(backends)
-        .codecs(codecs)
-        .compile_configs()
-        .expect("backend_codec_sweep: base run labels collide")
-}
-
-/// Expands a set of configurations across the backend × codec ×
-/// {write, restart} cube: every [`backend_codec_sweep`] scenario appears
-/// once write-only and once with a read-after-write restart phase
-/// (suffix `_restart`). This is the read-plane generalization of the
-/// sweep — the write half reproduces `backend_codec_sweep` exactly, the
-/// restart half additionally prices recovery reads.
-///
-/// *Legacy shim:* compiles through [`crate::spec::ExperimentSpec`]'s
-/// `mode` axis; prefer declaring the axes on a spec directly.
-pub fn restart_sweep(
-    configs: &[CastroSedovConfig],
-    backends: &[BackendSpec],
-    codecs: &[CodecSpec],
-) -> Vec<CastroSedovConfig> {
-    crate::spec::ExperimentSpec::over("restart_sweep", configs)
-        .backends(backends)
-        .codecs(codecs)
-        .modes(&[crate::spec::RunMode::Write, crate::spec::RunMode::Restart])
-        .compile_configs()
-        .expect("restart_sweep: base run labels collide")
-}
-
-/// Expands a set of configurations across the backend × codec ×
-/// {raw, reorganized} × read-pattern cube: every [`backend_codec_sweep`]
-/// scenario appears once per read pattern on the raw written layout
-/// (suffix `_raw`) and once served from the reorganized layout (suffix
-/// `_reorg`). This is the analysis-read generalization of the sweep
-/// family — it makes "how much does online layout reorganization buy
-/// each read pattern" (Wan et al.) a priced campaign question: the
-/// summaries carry selective-read physical bytes and wall for both
-/// layouts, plus the reorganization cost the savings must amortize.
-///
-/// Pattern spellings flatten to name-safe tokens (`level:1` ->
-/// `level1`, `box:0-1,2-5` -> `box0to1_2to5`); lossy collisions are
-/// index-disambiguated (`io_engine::grammar::disambiguate_tags`).
-///
-/// *Legacy shim:* compiles through [`crate::spec::ExperimentSpec`]'s
-/// `pattern` and `layout` axes; prefer declaring the axes on a spec
-/// directly.
-pub fn analysis_sweep(
-    configs: &[CastroSedovConfig],
-    backends: &[BackendSpec],
-    codecs: &[CodecSpec],
-    patterns: &[ReadSelection],
-) -> Vec<CastroSedovConfig> {
-    crate::spec::ExperimentSpec::over("analysis_sweep", configs)
-        .backends(backends)
-        .codecs(codecs)
-        .patterns(patterns)
-        .layouts(&[crate::spec::Layout::Raw, crate::spec::Layout::Reorg])
-        .compile_configs()
-        .expect("analysis_sweep: base run labels collide")
-}
-
-/// Expands a set of configurations across a scenario axis: every
-/// `(run, scenario)` pair becomes one configuration with the scenario's
-/// spelling flattened into the run label. This is the scenario-plane
-/// generalization of the sweep family — one base run crossed with, say,
-/// `write`, `write;check@4;fail@10;restart`, and
-/// `write;analyze_every:2:level:1` prices what failures, checkpoint
-/// cadence, and in-run analysis each cost on the same workload.
-///
-/// Scenario spellings flatten to name-safe tokens (`write;check@4` ->
-/// `write_check4`); lossy collisions are index-disambiguated.
-///
-/// *Legacy shim:* compiles through [`crate::spec::ExperimentSpec`]'s
-/// `scenario` axis; prefer declaring the axis on a spec directly.
-pub fn scenario_sweep(
-    configs: &[CastroSedovConfig],
-    scenarios: &[Scenario],
-) -> Vec<CastroSedovConfig> {
-    crate::spec::ExperimentSpec::over("scenario_sweep", configs)
-        .scenarios(scenarios)
-        .compile_configs()
-        .expect("scenario_sweep: base run labels collide")
-}
-
 /// Runs a set of configurations in parallel (the rayon stand-in fans
 /// the work across threads), returning summaries in the input order.
-/// Deterministic: identical to [`run_campaign_serial`] on the same
-/// configs, pinned by a test.
-pub fn run_campaign(configs: &[CastroSedovConfig]) -> Vec<RunSummary> {
+/// With a `storage` model every run is timed against it, so summaries
+/// carry comparable wall-clock times (the backend axis's dependent
+/// variable); without one, runs are untimed. Deterministic: identical
+/// to [`run_campaign_serial`] / [`run_campaign_timed_serial`] on the
+/// same configs, pinned by a test.
+pub fn run_campaign(
+    configs: &[CastroSedovConfig],
+    storage: Option<&iosim::StorageModel>,
+) -> Vec<RunSummary> {
     configs
         .par_iter()
-        .map(|cfg| RunSummary::from_result(&run_simulation(cfg, None, None)))
+        .map(|cfg| RunSummary::from_result(&run_simulation(cfg, None, storage)))
         .collect()
 }
 
-/// Sequential reference implementation of [`run_campaign`] (debugging,
-/// and the determinism oracle for the parallel path).
+/// Sequential reference implementation of untimed [`run_campaign`]
+/// (debugging, and the determinism oracle for the parallel path).
 pub fn run_campaign_serial(configs: &[CastroSedovConfig]) -> Vec<RunSummary> {
     configs
         .iter()
@@ -470,16 +372,14 @@ pub fn run_campaign_serial(configs: &[CastroSedovConfig]) -> Vec<RunSummary> {
         .collect()
 }
 
-/// Like [`run_campaign`] but timing every run against `storage`, so
-/// summaries carry comparable wall-clock times (the backend axis's
-/// dependent variable). Parallel over configs with deterministic,
-/// input-ordered results.
-pub fn run_campaign_timed(
+/// Sequential reference implementation of [`run_campaign`] timed
+/// against `storage`.
+pub fn run_campaign_timed_serial(
     configs: &[CastroSedovConfig],
     storage: &iosim::StorageModel,
 ) -> Vec<RunSummary> {
     configs
-        .par_iter()
+        .iter()
         .map(|cfg| RunSummary::from_result(&run_simulation(cfg, None, Some(storage))))
         .collect()
 }
@@ -561,83 +461,7 @@ pub fn run_campaign_fabric_linked(
             .collect()
     });
     for (summary, stats) in summaries.iter_mut().zip(fabric.tenant_stats()) {
-        summary.tenant = stats.tenant;
-        summary.tenants = configs.len();
-        summary.solo_wall = stats.solo_wall;
-        summary.slowdown = stats.slowdown();
-        summary.contention_stall = stats.contention_stall;
-        summary.throttle_stall = stats.throttle_stall;
-        summary.staging_wait = stats.staging_wait;
-    }
-    summaries
-}
-
-/// [`run_campaign_fabric`] with a memoized solo shadow: the fleet still
-/// runs one native thread per tenant on one shared fabric, but the solo
-/// baseline is priced once per `solo_key` across a campaign. On a memo
-/// hit every tenant's scheduler gets [`iosim::SoloPricing::Known`] and
-/// skips its shadow replay; on a miss the replay runs cold and the
-/// first tenant's solo wall fills the memo. The shadow is a passive
-/// observer (a private model copy), so pricing mode never perturbs the
-/// shared simulation — `known_solo_pricing_matches_the_cold_shadow_bit_for_bit`
-/// in `iosim::schedule` pins that.
-///
-/// This is also the *semantic anchor* for the solo columns: one
-/// configuration has one solo baseline, taken from the first cell that
-/// prices it. Re-deriving it per tenancy rung reproduces the same
-/// number only to within an ulp (the shared clock's magnitude leaks
-/// into the float rounding of the replayed compute deltas), so the
-/// spec executors — serial and parallel alike — route every tenancy
-/// cell through a memo to keep their outputs bit-identical.
-pub fn run_campaign_fabric_memoized(
-    configs: &[CastroSedovConfig],
-    storage: &iosim::StorageModel,
-    memo: &iosim::SoloMemo,
-    solo_key: &str,
-) -> Vec<RunSummary> {
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let fabric = iosim::Fabric::new(*storage);
-    let mut handles: Vec<iosim::FabricHandle> =
-        configs.iter().map(|cfg| fabric.tenant(&cfg.name)).collect();
-    let hit = memo.get(solo_key);
-    if let Some(wall) = hit {
-        for handle in handles.iter_mut() {
-            handle.set_solo_pricing(iosim::SoloPricing::Known(wall));
-        }
-    }
-    let mut summaries: Vec<RunSummary> = std::thread::scope(|s| {
-        let joins: Vec<_> = configs
-            .iter()
-            .zip(handles)
-            .map(|(cfg, handle)| {
-                s.spawn(move || {
-                    RunSummary::from_result(&run_simulation_attached(
-                        cfg,
-                        None,
-                        iosim::StorageAttach::Fabric(handle),
-                    ))
-                })
-            })
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("fabric tenant run panicked"))
-            .collect()
-    });
-    let stats = fabric.tenant_stats();
-    if hit.is_none() {
-        memo.fill(solo_key, stats[0].solo_wall);
-    }
-    for (summary, stats) in summaries.iter_mut().zip(stats) {
-        summary.tenant = stats.tenant;
-        summary.tenants = configs.len();
-        summary.solo_wall = stats.solo_wall;
-        summary.slowdown = stats.slowdown();
-        summary.contention_stall = stats.contention_stall;
-        summary.throttle_stall = stats.throttle_stall;
-        summary.staging_wait = stats.staging_wait;
+        summary.set_tenancy(&stats, configs.len());
     }
     summaries
 }
@@ -654,18 +478,12 @@ pub fn run_campaign_fabric_memoized(
 /// display name), which the spec-parallel property tests pin against
 /// [`run_campaign_fabric`].
 ///
-/// `memo` optionally memoizes the solo shadow replay under `solo_key`
-/// (the cell's label/tenancy-independent config key): a hit hands the
-/// scheduler the known wall ([`iosim::SoloPricing::Known`]) and skips
-/// the replay; a miss runs the exact replay and fills the memo.
-///
 /// # Panics
 /// Panics if `configs` are not identical modulo `name` — the caller
 /// (the spec executor) constructs them as clones by definition.
 pub fn run_campaign_fabric_cloned(
     configs: &[CastroSedovConfig],
     storage: &iosim::StorageModel,
-    memo: Option<(&iosim::SoloMemo, &str)>,
 ) -> Vec<RunSummary> {
     if configs.is_empty() {
         return Vec::new();
@@ -680,14 +498,6 @@ pub fn run_campaign_fabric_cloned(
     );
     let fabric = iosim::Fabric::new(*storage);
     let names: Vec<&str> = configs.iter().map(|c| c.name.as_str()).collect();
-    let mut group = fabric.tenant_clones(&names);
-    let mut memo_hit = false;
-    if let Some((memo, solo_key)) = memo {
-        if let Some(wall) = memo.get(solo_key) {
-            group.set_solo_pricing(iosim::SoloPricing::Known(wall));
-            memo_hit = true;
-        }
-    }
     // One real application run; the mirror slots' traffic and stats are
     // synthesized inside the engine. No threads: with every mirror seat
     // permanently parked, the lone real tenant always holds the quorum
@@ -695,46 +505,25 @@ pub fn run_campaign_fabric_cloned(
     let real = RunSummary::from_result(&run_simulation_attached(
         &configs[0],
         None,
-        iosim::StorageAttach::Fabric(group),
+        iosim::StorageAttach::Fabric(fabric.tenant_clones(&names)),
     ));
-    let stats = fabric.tenant_stats();
-    if !memo_hit {
-        if let Some((memo, solo_key)) = memo {
-            memo.fill(solo_key, stats[0].solo_wall);
-        }
-    }
     configs
         .iter()
-        .zip(stats)
-        .map(|(cfg, st)| {
+        .zip(fabric.tenant_stats())
+        .map(|(cfg, stats)| {
             let mut summary = real.clone();
             summary.name.clone_from(&cfg.name);
-            summary.tenant = st.tenant;
-            summary.tenants = configs.len();
-            summary.solo_wall = st.solo_wall;
-            summary.slowdown = st.slowdown();
-            summary.contention_stall = st.contention_stall;
-            summary.throttle_stall = st.throttle_stall;
-            summary.staging_wait = st.staging_wait;
+            summary.set_tenancy(&stats, configs.len());
             summary
         })
-        .collect()
-}
-
-/// Sequential reference implementation of [`run_campaign_timed`].
-pub fn run_campaign_timed_serial(
-    configs: &[CastroSedovConfig],
-    storage: &iosim::StorageModel,
-) -> Vec<RunSummary> {
-    configs
-        .iter()
-        .map(|cfg| RunSummary::from_result(&run_simulation(cfg, None, Some(storage))))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{ExperimentSpec, Layout, RunMode};
+    use io_engine::{BackendSpec, CodecSpec, ReadSelection, Scenario};
 
     #[test]
     fn campaign_has_exactly_47_runs() {
@@ -771,7 +560,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_sweep_is_a_scenario_matrix() {
+    fn backend_axis_is_a_scenario_matrix() {
         let base = vec![
             CastroSedovConfig {
                 name: "a".into(),
@@ -787,7 +576,10 @@ mod tests {
             BackendSpec::Aggregated(4),
             BackendSpec::Deferred(1),
         ];
-        let matrix = backend_sweep(&base, &backends);
+        let matrix = ExperimentSpec::over("m", &base)
+            .backends(&backends)
+            .compile_configs()
+            .unwrap();
         assert_eq!(matrix.len(), 6);
         let mut names: Vec<String> = matrix.iter().map(|c| c.name.clone()).collect();
         names.sort();
@@ -840,16 +632,16 @@ mod tests {
             compute_ns_per_cell: 40_000.0,
             ..Default::default()
         };
-        let matrix = backend_sweep(
-            &[base],
-            &[
+        let matrix = ExperimentSpec::over("axis", &[base])
+            .backends(&[
                 BackendSpec::FilePerProcess,
                 BackendSpec::Aggregated(4),
                 BackendSpec::Deferred(1),
-            ],
-        );
+            ])
+            .compile_configs()
+            .unwrap();
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let summaries = run_campaign_timed(&matrix, &storage);
+        let summaries = run_campaign(&matrix, Some(&storage));
         // The workload's byte accounting is backend-invariant.
         assert_eq!(summaries[0].total_bytes, summaries[1].total_bytes);
         assert_eq!(summaries[0].total_bytes, summaries[2].total_bytes);
@@ -861,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_codec_sweep_is_the_full_matrix() {
+    fn backend_codec_axes_are_the_full_matrix() {
         let base = vec![CastroSedovConfig {
             name: "m".into(),
             ..Default::default()
@@ -876,23 +668,27 @@ mod tests {
             CodecSpec::Rle(2.0),
             CodecSpec::LossyQuant(8),
         ];
-        let matrix = backend_codec_sweep(&base, &backends, &codecs);
+        let matrix = ExperimentSpec::over("m", &base)
+            .backends(&backends)
+            .codecs(&codecs)
+            .compile_configs()
+            .unwrap();
         assert_eq!(matrix.len(), 9);
         let mut names: Vec<String> = matrix.iter().map(|c| c.name.clone()).collect();
         names.sort();
         names.dedup();
         assert_eq!(names.len(), 9, "scenario names stay unique");
         // Fractional codec parameters stay distinguishable in names.
-        let tricky = backend_codec_sweep(
-            &base,
-            &[BackendSpec::FilePerProcess],
-            &[CodecSpec::Rle(2.1), CodecSpec::Rle(21.0)],
-        );
+        let tricky = ExperimentSpec::over("m", &base)
+            .backends(&[BackendSpec::FilePerProcess])
+            .codecs(&[CodecSpec::Rle(2.1), CodecSpec::Rle(21.0)])
+            .compile_configs()
+            .unwrap();
         assert_ne!(tricky[0].name, tricky[1].name, "{:?}", tricky[0].name);
         assert!(matrix.iter().any(
             |c| c.backend == BackendSpec::Aggregated(4) && c.codec == CodecSpec::LossyQuant(8)
         ));
-        // The identity column matches backend_sweep's spelling convention.
+        // The identity column matches the backend axis's spelling convention.
         assert!(matrix.iter().any(|c| c.name == "m_fpp_identity"));
     }
 
@@ -911,21 +707,21 @@ mod tests {
             compute_ns_per_cell: 40_000.0,
             ..Default::default()
         };
-        let matrix = backend_codec_sweep(
-            &[base],
-            &[
+        let matrix = ExperimentSpec::over("sedov", &[base])
+            .backends(&[
                 BackendSpec::FilePerProcess,
                 BackendSpec::Aggregated(4),
                 BackendSpec::Deferred(1),
-            ],
-            &[
+            ])
+            .codecs(&[
                 CodecSpec::Identity,
                 CodecSpec::Rle(2.0),
                 CodecSpec::LossyQuant(8),
-            ],
-        );
+            ])
+            .compile_configs()
+            .unwrap();
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let summaries = run_campaign_timed(&matrix, &storage);
+        let summaries = run_campaign(&matrix, Some(&storage));
         assert_eq!(summaries.len(), 9);
         // Logical accounting is invariant across the whole matrix, and
         // physical payload bytes (net of declared bookkeeping) never
@@ -973,7 +769,7 @@ mod tests {
     }
 
     #[test]
-    fn restart_sweep_crosses_the_full_cube() {
+    fn restart_axes_cross_the_full_cube() {
         let base = vec![CastroSedovConfig {
             name: "m".into(),
             ..Default::default()
@@ -988,7 +784,12 @@ mod tests {
             CodecSpec::Rle(2.0),
             CodecSpec::LossyQuant(8),
         ];
-        let matrix = restart_sweep(&base, &backends, &codecs);
+        let matrix = ExperimentSpec::over("m", &base)
+            .backends(&backends)
+            .codecs(&codecs)
+            .modes(&[RunMode::Write, RunMode::Restart])
+            .compile_configs()
+            .unwrap();
         assert_eq!(matrix.len(), 18, "3 backends x 3 codecs x 2 modes");
         assert_eq!(matrix.iter().filter(|c| c.read_after_write).count(), 9);
         let mut names: Vec<String> = matrix.iter().map(|c| c.name.clone()).collect();
@@ -1013,13 +814,14 @@ mod tests {
             compute_ns_per_cell: 40_000.0,
             ..Default::default()
         };
-        let matrix = restart_sweep(
-            &[base],
-            &[BackendSpec::FilePerProcess, BackendSpec::Aggregated(4)],
-            &[CodecSpec::Identity, CodecSpec::LossyQuant(8)],
-        );
+        let matrix = ExperimentSpec::over("rst", &[base])
+            .backends(&[BackendSpec::FilePerProcess, BackendSpec::Aggregated(4)])
+            .codecs(&[CodecSpec::Identity, CodecSpec::LossyQuant(8)])
+            .modes(&[RunMode::Write, RunMode::Restart])
+            .compile_configs()
+            .unwrap();
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let summaries = run_campaign_timed(&matrix, &storage);
+        let summaries = run_campaign(&matrix, Some(&storage));
         for s in &summaries {
             if s.restart {
                 assert!(s.read_bytes > 0, "{}", s.name);
@@ -1064,7 +866,7 @@ mod tests {
     }
 
     #[test]
-    fn analysis_sweep_crosses_patterns_and_layouts() {
+    fn analysis_axes_cross_patterns_and_layouts() {
         let base = vec![CastroSedovConfig {
             name: "m".into(),
             ..Default::default()
@@ -1075,7 +877,13 @@ mod tests {
             ReadSelection::Level(1),
             ReadSelection::parse("box:0-1,0-3").unwrap(),
         ];
-        let matrix = analysis_sweep(&base, &backends, &codecs, &patterns);
+        let matrix = ExperimentSpec::over("m", &base)
+            .backends(&backends)
+            .codecs(&codecs)
+            .patterns(&patterns)
+            .layouts(&[Layout::Raw, Layout::Reorg])
+            .compile_configs()
+            .unwrap();
         assert_eq!(matrix.len(), 2 * 2 * 2 * 2, "b x c x pattern x layout");
         let mut names: Vec<String> = matrix.iter().map(|c| c.name.clone()).collect();
         names.sort();
@@ -1093,15 +901,16 @@ mod tests {
 
         // Lossy tag flattening must not collapse distinct patterns into
         // one scenario name: colliding tags are index-disambiguated.
-        let colliding = analysis_sweep(
-            &base,
-            &[BackendSpec::FilePerProcess],
-            &[CodecSpec::Identity],
-            &[
+        let colliding = ExperimentSpec::over("m", &base)
+            .backends(&[BackendSpec::FilePerProcess])
+            .codecs(&[CodecSpec::Identity])
+            .patterns(&[
                 ReadSelection::Field("a,b".into()),
                 ReadSelection::Field("a.b".into()),
-            ],
-        );
+            ])
+            .layouts(&[Layout::Raw, Layout::Reorg])
+            .compile_configs()
+            .unwrap();
         let mut names: Vec<String> = colliding.iter().map(|c| c.name.clone()).collect();
         names.sort();
         names.dedup();
@@ -1123,7 +932,7 @@ mod tests {
             reorganize: true,
             ..Default::default()
         };
-        let s = &run_campaign(&[cfg])[0];
+        let s = &run_campaign(&[cfg], None)[0];
         assert!(!s.reorganized);
         assert_eq!(s.read_pattern, "none");
         assert_eq!(s.reorg_wall, 0.0);
@@ -1147,12 +956,13 @@ mod tests {
             compute_ns_per_cell: 40_000.0,
             ..Default::default()
         };
-        let matrix = analysis_sweep(
-            &[base],
-            &[BackendSpec::Aggregated(2)],
-            &[CodecSpec::Identity],
-            &[ReadSelection::Level(1)],
-        );
+        let matrix = ExperimentSpec::over("ana", &[base])
+            .backends(&[BackendSpec::Aggregated(2)])
+            .codecs(&[CodecSpec::Identity])
+            .patterns(&[ReadSelection::Level(1)])
+            .layouts(&[Layout::Raw, Layout::Reorg])
+            .compile_configs()
+            .unwrap();
         // Bandwidth-bound storage (one server class): wall tracks bytes
         // moved + files opened. On wide stripes the raw layout's scatter
         // can buy parallelism back — the reorg module docs call out that
@@ -1161,7 +971,7 @@ mod tests {
             open_latency: 1e-3,
             ..iosim::StorageModel::ideal(1, 5e7)
         };
-        let summaries = run_campaign_timed(&matrix, &storage);
+        let summaries = run_campaign(&matrix, Some(&storage));
         assert_eq!(summaries.len(), 2);
         let raw = summaries.iter().find(|s| !s.reorganized).unwrap();
         let opt = summaries.iter().find(|s| s.reorganized).unwrap();
@@ -1186,7 +996,7 @@ mod tests {
     }
 
     #[test]
-    fn scenario_sweep_crosses_configs_and_scenarios() {
+    fn scenario_axis_crosses_configs_and_scenarios() {
         let base = vec![CastroSedovConfig {
             name: "m".into(),
             ..Default::default()
@@ -1196,7 +1006,10 @@ mod tests {
             Scenario::parse("write;check@4;fail@10;restart").unwrap(),
             Scenario::in_run_analysis(2, ReadSelection::Level(1)),
         ];
-        let matrix = scenario_sweep(&base, &scenarios);
+        let matrix = ExperimentSpec::over("m", &base)
+            .scenarios(&scenarios)
+            .compile_configs()
+            .unwrap();
         assert_eq!(matrix.len(), 3);
         let mut names: Vec<String> = matrix.iter().map(|c| c.name.clone()).collect();
         names.sort();
@@ -1209,13 +1022,13 @@ mod tests {
             .any(|c| c.name == "m_write_check4_fail10_restart"));
 
         // Lossy tag flattening must not collapse distinct scenarios.
-        let colliding = scenario_sweep(
-            &base,
-            &[
+        let colliding = ExperimentSpec::over("m", &base)
+            .scenarios(&[
                 Scenario::parse("write;analyze:field:a,b").unwrap(),
                 Scenario::parse("write;analyze:field:a.b").unwrap(),
-            ],
-        );
+            ])
+            .compile_configs()
+            .unwrap();
         let mut names: Vec<String> = colliding.iter().map(|c| c.name.clone()).collect();
         names.sort();
         names.dedup();
@@ -1225,14 +1038,14 @@ mod tests {
         // *third* scenario whose flattening already looks renamed
         // (field `xy_s1` flattens to exactly what `xy`'s rename
         // produces). The dedup iterates to a fixed point.
-        let adversarial = scenario_sweep(
-            &base,
-            &[
+        let adversarial = ExperimentSpec::over("m", &base)
+            .scenarios(&[
                 Scenario::parse("write;analyze:field:xy").unwrap(),
                 Scenario::parse("write;analyze:field:x.y").unwrap(),
                 Scenario::parse("write;analyze:field:xy_s1").unwrap(),
-            ],
-        );
+            ])
+            .compile_configs()
+            .unwrap();
         let mut names: Vec<String> = adversarial.iter().map(|c| c.name.clone()).collect();
         names.sort();
         names.dedup();
@@ -1255,16 +1068,16 @@ mod tests {
             compute_ns_per_cell: 40_000.0,
             ..Default::default()
         };
-        let matrix = scenario_sweep(
-            &[base],
-            &[
+        let matrix = ExperimentSpec::over("sc", &[base])
+            .scenarios(&[
                 Scenario::write_only(),
                 Scenario::parse("write;check@4;fail@10;restart").unwrap(),
                 Scenario::in_run_analysis(2, ReadSelection::Level(1)),
-            ],
-        );
+            ])
+            .compile_configs()
+            .unwrap();
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let summaries = run_campaign_timed(&matrix, &storage);
+        let summaries = run_campaign(&matrix, Some(&storage));
         let clean = &summaries[0];
         let failed = &summaries[1];
         let insitu = &summaries[2];
@@ -1306,11 +1119,11 @@ mod tests {
             ..Default::default()
         });
         assert!(configs.len() >= 3);
-        let parallel = run_campaign(&configs);
+        let parallel = run_campaign(&configs, None);
         let serial = run_campaign_serial(&configs);
         assert_eq!(parallel, serial);
         let storage = iosim::StorageModel::ideal(2, 5e7);
-        let parallel_timed = run_campaign_timed(&configs, &storage);
+        let parallel_timed = run_campaign(&configs, Some(&storage));
         let serial_timed = run_campaign_timed_serial(&configs, &storage);
         assert_eq!(parallel_timed, serial_timed);
         // Order is the input order, not completion order.
@@ -1327,7 +1140,7 @@ mod tests {
             .filter(|c| c.n_cell <= 64)
             .collect();
         assert!(!runs.is_empty());
-        let summaries = run_campaign(&runs);
+        let summaries = run_campaign(&runs, None);
         for s in &summaries {
             assert!(s.total_bytes > 0, "{} wrote nothing", s.name);
             assert!(!s.series.is_empty());

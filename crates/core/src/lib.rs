@@ -6,9 +6,9 @@
 //! `io-engine` stack, times them against `iosim`, and feeds `model`.
 //! Key types: [`CastroSedovConfig`], [`RunResult`], [`RunSummary`], the
 //! scenario plane ([`Scenario`] programs compiled by [`compile_phases`]
-//! and executed by the [`driver`] over a [`StepSource`]), and the sweep
-//! family ([`backend_sweep`] → [`backend_codec_sweep`] →
-//! [`restart_sweep`] → [`analysis_sweep`] → [`scenario_sweep`]).
+//! and executed by the [`driver`] over a [`StepSource`]), and the
+//! experiment plane ([`ExperimentSpec`] matrices executed by
+//! [`run_spec`] against a [`ResultsStore`]).
 //!
 //! ```
 //! use amrproxy::{run_simulation, CastroSedovConfig, Engine};
@@ -34,10 +34,8 @@ pub mod spec;
 pub mod store;
 
 pub use campaign::{
-    analysis_sweep, backend_codec_sweep, backend_sweep, restart_sweep, run_campaign,
-    run_campaign_fabric, run_campaign_fabric_cloned, run_campaign_fabric_linked,
-    run_campaign_fabric_memoized, run_campaign_serial, run_campaign_timed,
-    run_campaign_timed_serial, scenario_sweep, table3_campaign, RunSummary,
+    run_campaign, run_campaign_fabric, run_campaign_fabric_cloned, run_campaign_fabric_linked,
+    run_campaign_serial, run_campaign_timed_serial, table3_campaign, RunSummary,
 };
 pub use cases::{big8192, case27, case4, case4_hydro_scaled};
 pub use compare::{compare_with_macsio, Comparison};

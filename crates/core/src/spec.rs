@@ -3,9 +3,9 @@
 //! The paper's 47-run Summit campaign — and every sweep this repo grew
 //! after it — is a cross product of a few named axes: I/O backend,
 //! compression codec, read mode, analysis read pattern, storage layout,
-//! scenario program, task count, AMR rung, storage profile. The five
-//! `*_sweep` functions in [`crate::campaign`] hand-enumerated five
-//! corners of that product; this module replaces them with one compiler.
+//! scenario program, task count, AMR rung, storage profile. Five
+//! hand-written sweep functions once enumerated five corners of that
+//! product; this module replaced them with one compiler.
 //! An `ExperimentSpec` *declares* the matrix (builder API or a TOML
 //! file), and [`ExperimentSpec::compile`] turns it into
 //! [`SpecCell`]s — concrete [`CastroSedovConfig`]s with deterministic,
@@ -21,9 +21,10 @@
 //! problem), weak (vary ranks at fixed cells-per-rank), or throughput
 //! (vary tenant count on the shared machine-room fabric).
 //!
-//! Label spellings are bit-compatible with the legacy sweeps — the
-//! shims in `campaign.rs` are property-tested equal — so labels already
-//! persisted in results stores stay addressable.
+//! Label spellings are bit-compatible with the legacy sweeps —
+//! `tests/proptests_spec.rs` pins each builder chain equal to a frozen
+//! copy of the sweep it replaced — so labels already persisted in
+//! results stores stay addressable.
 //!
 //! ```
 //! use amrproxy::spec::ExperimentSpec;
@@ -163,18 +164,18 @@ impl StorageProfile {
 }
 
 /// Read mode of a cell: write-only or write + restart read-back (the
-/// legacy `restart_sweep` doubling).
+/// pre-spec restart sweep's doubling).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RunMode {
     /// Write-only (no label tag — matches the legacy spelling where the
-    /// write half of `restart_sweep` carries no suffix).
+    /// write half of the restart sweep carries no suffix).
     Write,
     /// Write, then restart-read the last dump (`_restart` suffix).
     Restart,
 }
 
-/// Storage layout an analysis read is served from (the legacy
-/// `analysis_sweep` raw/reorg doubling).
+/// Storage layout an analysis read is served from (the pre-spec
+/// analysis sweep's raw/reorg doubling).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Layout {
     /// The raw written layout (`_raw` suffix).
@@ -417,12 +418,6 @@ pub struct SpecCell {
     /// and tenancy — what the append-only store indexes persistence and
     /// resume by. Identical cell, identical key, across processes.
     pub key: String,
-    /// Solo-profile key: the same content hash with the display label
-    /// cleared and tenancy fixed at 1 — label- and tenancy-independent,
-    /// so every throughput rung over one base shares it. The parallel
-    /// executor memoizes solo shadow replays under this key
-    /// ([`iosim::SoloMemo`]).
-    pub solo_key: String,
     /// Canonical `(axis, value)` coordinates (base first) — the
     /// queryable identity of the cell, also used by exclude matching
     /// and collision diagnostics.
@@ -621,17 +616,11 @@ impl ExperimentSpec {
                 }
                 let (config, storage, tenants) = self.apply(base, cell_idx, label.clone());
                 let key = cell_key(&config, storage.as_ref(), tenants);
-                let solo_key = {
-                    let mut solo = config.clone();
-                    solo.name = String::new();
-                    cell_key(&solo, storage.as_ref(), 1)
-                };
                 cells.push(SpecCell {
                     config,
                     storage,
                     tenants,
                     key,
-                    solo_key,
                     coords,
                 });
             }
@@ -1206,33 +1195,6 @@ mod tests {
             .compile()
             .unwrap();
         assert_ne!(stored[0].key, a[0].key);
-    }
-
-    #[test]
-    fn throughput_rungs_share_one_solo_key() {
-        // x2/x4/x8 over one base are identical runs modulo label and
-        // tenancy, so they share a solo-profile key (the memo key) while
-        // keeping distinct cell keys (the store identity).
-        let cells = ExperimentSpec::new("t")
-            .base(base("ladder"))
-            .scales(&[2, 4, 8])
-            .scaling(ScalingMode::Throughput)
-            .compile()
-            .unwrap();
-        assert_eq!(cells.len(), 3);
-        assert_eq!(cells[0].solo_key, cells[1].solo_key);
-        assert_eq!(cells[1].solo_key, cells[2].solo_key);
-        assert_ne!(cells[0].key, cells[1].key);
-        assert_ne!(cells[1].key, cells[2].key);
-        // A different base config gets a different solo profile.
-        let other = ExperimentSpec::new("t")
-            .base(base("ladder"))
-            .backends(&[BackendSpec::Aggregated(4)])
-            .scales(&[2])
-            .scaling(ScalingMode::Throughput)
-            .compile()
-            .unwrap();
-        assert_ne!(other[0].solo_key, cells[0].solo_key);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The AMR simulation driver.
 //!
 //! Plays the role of `Amr`/`AmrLevel` in AMReX-Castro: owns the level
-//! hierarchy, advances it with a global (non-subcycled) CFL time step,
+//! hierarchy, advances it with subcycled CFL time steps (level `l`
+//! takes `ref_ratio^l` substeps per coarse step, as Castro does),
 //! averages fine data onto coarse levels, and regrids every
 //! `amr.regrid_int` steps by re-tagging and re-running Berger–Rigoutsos.
 //! The per-step grid hierarchy this driver produces is the paper's I/O
@@ -72,7 +73,9 @@ pub struct Level {
     pub geom: Geometry,
     /// Conserved state.
     pub mf: MultiFab,
-    /// Steps taken at this level (== global steps; non-subcycled).
+    /// Substeps taken at this level. Level `l` subcycles `ref_ratio^l`
+    /// times per coarse step ([`AmrSim::step`]), so only level 0 counts
+    /// coarse steps.
     pub steps: u64,
 }
 

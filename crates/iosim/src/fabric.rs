@@ -64,7 +64,6 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use mpi_sim::NetworkModel;
@@ -208,86 +207,6 @@ impl<'a> StorageAttach<'a> {
 }
 
 /// Which bandwidth/latency class a burst runs in.
-/// How a fabric tenant's solo-equivalent wall is produced at seal time.
-///
-/// The default is an exact shadow replay (the scheduler re-runs the
-/// tenant's burst sequence against a private model copy). When many
-/// tenants share one solo profile — the throughput-scaling cells, which
-/// are N clones of one configuration — the replay prices the identical
-/// sequence N times; [`SoloMemo`] lets an executor pay it once and hand
-/// the remaining tenants the answer.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SoloPricing {
-    /// Exact solo shadow replay against a private model copy (the
-    /// default, and the pinned bit-identical fallback on a memo miss).
-    Replay,
-    /// The solo wall is already known (a memoized shadow replay for the
-    /// same canonical config): skip the replay, report this value.
-    Known(f64),
-}
-
-/// A concurrency-safe memo of solo-equivalent walls, keyed by the
-/// caller's canonical config key (the spec plane uses the tenancy- and
-/// label-independent cell key). First pricing of a key runs the exact
-/// shadow replay and [`SoloMemo::fill`]s the result; later tenants with
-/// the same key [`SoloMemo::get`] it and skip their replays entirely.
-/// Because clone tenants replay bit-identical burst sequences, a memo
-/// hit reproduces the cold replay's wall exactly (pinned by tests).
-#[derive(Debug, Default)]
-pub struct SoloMemo {
-    map: Mutex<HashMap<String, f64>>,
-    hits: AtomicU64,
-    fills: AtomicU64,
-}
-
-impl SoloMemo {
-    /// An empty memo (one per spec execution; keys are only comparable
-    /// under one canonical-key scheme).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The memoized solo wall for `key`, counting a hit when present.
-    pub fn get(&self, key: &str) -> Option<f64> {
-        let found = self.map.lock().expect("solo memo lock").get(key).copied();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Records the solo wall replayed for `key`. First writer wins:
-    /// concurrent replays of the same key are bit-identical anyway, and
-    /// keeping the first keeps the memo append-only.
-    pub fn fill(&self, key: &str, solo_wall: f64) {
-        let mut map = self.map.lock().expect("solo memo lock");
-        if !map.contains_key(key) {
-            map.insert(key.to_string(), solo_wall);
-            self.fills.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Replays skipped thanks to the memo.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Distinct keys priced (each one exact shadow replay).
-    pub fn fills(&self) -> u64 {
-        self.fills.load(Ordering::Relaxed)
-    }
-
-    /// Distinct keys currently memoized.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("solo memo lock").len()
-    }
-
-    /// True when nothing has been priced yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Class {
     Write,
@@ -916,7 +835,6 @@ impl Fabric {
             shared: Arc::clone(&self.shared),
             tenant,
             mirrors: 0,
-            pricing: SoloPricing::Replay,
             finished: false,
         }
     }
@@ -998,8 +916,6 @@ pub struct FabricHandle {
     /// Mirror slots after `tenant` driven by this handle (clone groups;
     /// 0 for an ordinary tenant).
     mirrors: usize,
-    /// How the scheduler prices this tenant's solo-equivalent wall.
-    pricing: SoloPricing,
     finished: bool,
 }
 
@@ -1019,19 +935,6 @@ impl FabricHandle {
     /// for an ordinary tenant.
     pub fn mirrors(&self) -> usize {
         self.mirrors
-    }
-
-    /// Sets how the scheduler prices this tenant's solo-equivalent wall
-    /// (default [`SoloPricing::Replay`]). Set before attaching the
-    /// handle to a run; a [`SoloPricing::Known`] wall skips the shadow
-    /// replay entirely.
-    pub fn set_solo_pricing(&mut self, pricing: SoloPricing) {
-        self.pricing = pricing;
-    }
-
-    /// The solo-wall pricing mode the scheduler will use.
-    pub fn solo_pricing(&self) -> SoloPricing {
-        self.pricing
     }
 
     /// One streamed tenant's share of the fabric's interconnect: the

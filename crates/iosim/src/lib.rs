@@ -54,9 +54,7 @@ pub mod vfs;
 
 pub use bytes::Bytes;
 pub use characterize::{characterize, IoCharacterization};
-pub use fabric::{
-    Fabric, FabricHandle, QosPolicy, SoloMemo, SoloPricing, StorageAttach, TenantStats,
-};
+pub use fabric::{Fabric, FabricHandle, QosPolicy, StorageAttach, TenantStats};
 pub use schedule::BurstScheduler;
 pub use storage::{BurstResult, ReadRequest, StorageModel, WriteRequest};
 pub use timeline::{Burst, BurstTimeline};

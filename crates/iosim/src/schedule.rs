@@ -101,9 +101,6 @@ pub struct BurstScheduler<'a> {
     /// staging-pool space rather than this run's own previous drain.
     staging_wait: f64,
     shadow: Option<Shadow>,
-    /// Fabric only: a memoized solo wall ([`crate::SoloPricing::Known`])
-    /// reported at seal in place of a shadow replay.
-    known_solo: Option<f64>,
 }
 
 impl<'a> BurstScheduler<'a> {
@@ -118,7 +115,6 @@ impl<'a> BurstScheduler<'a> {
             read_stall: 0.0,
             staging_wait: 0.0,
             shadow: None,
-            known_solo: None,
         }
     }
 
@@ -126,25 +122,8 @@ impl<'a> BurstScheduler<'a> {
     /// Bursts block until the shared engine resolves them against every
     /// overlapping tenant; a shadow solo replay tracks what the identical
     /// run would have cost alone (reported at [`BurstScheduler::seal`]).
-    ///
-    /// When the handle carries [`crate::SoloPricing::Known`] — a solo
-    /// wall memoized from an earlier replay of the same canonical config
-    /// ([`crate::SoloMemo`]) — the shadow is skipped and that wall is
-    /// reported verbatim at seal.
     pub fn on_fabric(handle: FabricHandle, overlapped: bool) -> Self {
         let model = handle.model();
-        let (shadow, known_solo) = match handle.solo_pricing() {
-            crate::SoloPricing::Replay => (
-                Some(Shadow {
-                    model,
-                    clock: 0.0,
-                    drain_end: 0.0,
-                    last_shared_clock: 0.0,
-                }),
-                None,
-            ),
-            crate::SoloPricing::Known(wall) => (None, Some(wall)),
-        };
         Self {
             sink: Sink::Fabric(handle),
             overlapped,
@@ -152,8 +131,12 @@ impl<'a> BurstScheduler<'a> {
             write_stall: 0.0,
             read_stall: 0.0,
             staging_wait: 0.0,
-            shadow,
-            known_solo,
+            shadow: Some(Shadow {
+                model,
+                clock: 0.0,
+                drain_end: 0.0,
+                last_shared_clock: 0.0,
+            }),
         }
     }
 
@@ -313,9 +296,9 @@ impl<'a> BurstScheduler<'a> {
                 sh.last_shared_clock = clock;
                 sh.wall()
             }
-            // Memoized shadow if one was handed over; the private-model
-            // path has neither and a solo run's wall *is* its solo wall.
-            None => self.known_solo.unwrap_or(wall),
+            // The private-model path has no shadow: a solo run's wall
+            // *is* its solo wall.
+            None => wall,
         };
         if let Sink::Fabric(h) = &mut self.sink {
             h.record_walls(wall, solo);
@@ -614,39 +597,6 @@ mod tests {
                 st.slowdown()
             );
         }
-    }
-
-    #[test]
-    fn known_solo_pricing_matches_the_cold_shadow_bit_for_bit() {
-        // Price a clone group cold (exact shadow replay), then re-price
-        // the identical workload with the memoized wall handed over via
-        // SoloPricing::Known: every reported stat must be bit-identical.
-        let model = StorageModel {
-            variability_sigma: 0.1,
-            ..StorageModel::ideal(2, 1000.0)
-        };
-        let drive = |mut s: BurstScheduler| {
-            let mut clock = 0.0;
-            for step in 1..=3u32 {
-                clock += 2.0;
-                let (_, c) = s.submit(step, clock, &mut reqs(3, 700 + step as u64), 2100);
-                clock = c;
-            }
-            s.seal(clock)
-        };
-        let cold = crate::Fabric::new(model);
-        let group = cold.tenant_clones(&["m_t0", "m_t1", "m_t2"]);
-        drive(BurstScheduler::on_fabric(group, false));
-        let cold_stats = cold.tenant_stats();
-        let memoized_wall = cold_stats[0].solo_wall;
-        assert!(memoized_wall > 0.0);
-
-        let warm = crate::Fabric::new(model);
-        let mut group = warm.tenant_clones(&["m_t0", "m_t1", "m_t2"]);
-        group.set_solo_pricing(crate::SoloPricing::Known(memoized_wall));
-        drive(BurstScheduler::on_fabric(group, false));
-        let warm_stats = warm.tenant_stats();
-        assert_eq!(cold_stats, warm_stats, "memo hit must be bit-identical");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!    **strictly fewer physical bytes** and cost **strictly less
 //!    simulated wall** than the same selection on the raw layout
 //!    (asserted, not just printed).
-//! 2. **Analysis campaign** (oracle scale): `amrproxy::analysis_sweep`
+//! 2. **Analysis campaign** (oracle scale): an `ExperimentSpec`
 //!    crosses a Sedov slice over backends × codecs × {raw, reorganized}
 //!    × read patterns on a bandwidth-bound storage model; the summary
 //!    table prices each pattern on each layout, the selective-read
@@ -29,7 +29,7 @@
 //! cargo run --release --example analysis_sweep
 //! ```
 
-use amr_proxy_io::amrproxy::{analysis_sweep, run_campaign_timed, CastroSedovConfig, Engine};
+use amr_proxy_io::amrproxy::{run_campaign, CastroSedovConfig, Engine, ExperimentSpec, Layout};
 use amr_proxy_io::io_engine::{
     BackendSpec, CodecSpec, IoBackend, Payload, Put, ReadSelection, Reorganizer,
 };
@@ -191,17 +191,18 @@ fn main() {
         ReadSelection::Level(2),
         ReadSelection::parse("box:0-1,0-3").unwrap(),
     ];
-    let matrix = analysis_sweep(
-        &[base],
-        &[BackendSpec::Aggregated(2), BackendSpec::FilePerProcess],
-        &[CodecSpec::Identity, CodecSpec::LossyQuant(8)],
-        &patterns,
-    );
+    let matrix = ExperimentSpec::over("analysis", &[base])
+        .backends(&[BackendSpec::Aggregated(2), BackendSpec::FilePerProcess])
+        .codecs(&[CodecSpec::Identity, CodecSpec::LossyQuant(8)])
+        .patterns(&patterns)
+        .layouts(&[Layout::Raw, Layout::Reorg])
+        .compile_configs()
+        .expect("unique run labels");
     let campaign_storage = StorageModel {
         open_latency: 0.5e-3,
         ..StorageModel::ideal(1, 5e7)
     };
-    let summaries = run_campaign_timed(&matrix, &campaign_storage);
+    let summaries = run_campaign(&matrix, Some(&campaign_storage));
     println!(
         "{:<42} {:>12} {:>12} {:>11} {:>11}",
         "scenario", "sel_logical", "sel_physical", "sel_wall", "reorg_wall"

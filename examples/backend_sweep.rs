@@ -6,7 +6,7 @@
 //! cargo run --release --example backend_sweep
 //! ```
 
-use amr_proxy_io::amrproxy::{run_campaign_timed, CastroSedovConfig, Engine, ExperimentSpec};
+use amr_proxy_io::amrproxy::{run_campaign, CastroSedovConfig, Engine, ExperimentSpec};
 use amr_proxy_io::io_engine::BackendSpec;
 use amr_proxy_io::iosim::StorageModel;
 
@@ -35,7 +35,7 @@ fn main() {
         BackendSpec::Aggregated(nprocs),
         BackendSpec::Deferred(1),
     ];
-    let matrix = ExperimentSpec::over("backend_sweep", &[base])
+    let matrix = ExperimentSpec::over("backends", &[base])
         .backends(&backends)
         .compile_configs()
         .expect("unique run labels");
@@ -45,7 +45,7 @@ fn main() {
         backends.len()
     );
     let storage = StorageModel::summit_alpine(1.0 / 9.0);
-    let summaries = run_campaign_timed(&matrix, &storage);
+    let summaries = run_campaign(&matrix, Some(&storage));
 
     println!(
         "{:<24} {:>10} {:>12} {:>12} {:>12} {:>14}",

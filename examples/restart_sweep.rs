@@ -140,7 +140,7 @@ fn main() {
         compute_ns_per_cell: 2_000.0,
         ..Default::default()
     };
-    let spec = ExperimentSpec::over("restart_sweep", &[base])
+    let spec = ExperimentSpec::over("restarts", &[base])
         .backends(&backends)
         .codecs(&codecs)
         .modes(&[RunMode::Write, RunMode::Restart]);

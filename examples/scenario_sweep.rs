@@ -28,7 +28,7 @@
 //! ```
 
 use amr_proxy_io::amrproxy::{
-    run_campaign_serial, run_campaign_timed, CastroSedovConfig, Engine, ExperimentSpec, RunSummary,
+    run_campaign, run_campaign_serial, CastroSedovConfig, Engine, ExperimentSpec, RunSummary,
     Scenario,
 };
 use amr_proxy_io::io_engine::ReadSelection;
@@ -77,11 +77,11 @@ fn main() {
         Scenario::in_run_analysis(2, ReadSelection::Level(1)),
         Scenario::parse("write;fail@17;restart;analyze:level:2,reorg").unwrap(),
     ];
-    let matrix = ExperimentSpec::over("scenario_sweep", &[base(20)])
+    let matrix = ExperimentSpec::over("scenarios", &[base(20)])
         .scenarios(&scenarios)
         .compile_configs()
         .expect("unique run labels");
-    let summaries = run_campaign_timed(&matrix, &storage);
+    let summaries = run_campaign(&matrix, Some(&storage));
     for s in &summaries {
         println!("{}", row(s));
     }
@@ -206,7 +206,7 @@ fn main() {
         scenario: Some(Scenario::write_restart()),
         ..base(20)
     };
-    let legacy_s = run_campaign_timed(&[legacy, explicit], &storage);
+    let legacy_s = run_campaign(&[legacy, explicit], Some(&storage));
     assert_eq!(legacy_s[0], {
         let mut e = legacy_s[1].clone();
         e.name = legacy_s[0].name.clone();

@@ -96,10 +96,10 @@ fn main() {
 
     // ── The parallel executor against its serial reference ──────────
     // The throughput ladder (2/4/8 tenant clones per cell) runs twice
-    // from scratch: once under the one-cell-at-a-time serial reference,
-    // once under the parallel executor (mirrored clone groups + solo
-    // memo + batched appends). Results must be bit-identical; only the
-    // wall may differ.
+    // from scratch: once under the one-cell-at-a-time serial reference
+    // (threaded fleets), once under the parallel executor (mirrored
+    // clone groups, spec-order commits). Results must be bit-identical;
+    // only the wall may differ.
     let ladder =
         ExperimentSpec::load(format!("{root}/specs/ladder.toml")).expect("parse ladder spec");
     let serial_dir = format!("{root}/results/store/ladder_serial");

@@ -1,18 +1,18 @@
 //! Property tests for the declarative experiment grammar and the
 //! results store.
 //!
-//! The five legacy `*_sweep` families are frozen here as inline
-//! reference implementations (copied verbatim from the pre-spec
-//! `campaign.rs`); each must stay byte-identical — full config-list
-//! equality through the serde wire format — to its `ExperimentSpec`
-//! compilation, which is what the shims now delegate to. The store
+//! The five pre-spec sweep enumerations (backend, backend × codec,
+//! restart, analysis, scenario) are frozen here as inline reference
+//! implementations (copied verbatim from the pre-spec `campaign.rs`);
+//! each must stay byte-identical — full config-list equality through
+//! the serde wire format — to the equivalent `ExperimentSpec` builder
+//! chain compiled with `compile_configs`. The store
 //! properties cover the append/reopen round trip (byte-identical rows)
 //! and resume (exactly the persisted cells are skipped).
 
 use amr_proxy_io::amrproxy::store::{run_spec, ResultsStore};
 use amr_proxy_io::amrproxy::{
-    analysis_sweep, backend_codec_sweep, backend_sweep, restart_sweep, run_campaign_serial,
-    scenario_sweep, CastroSedovConfig, Engine, ExperimentSpec, RunMode, Scenario,
+    run_campaign_serial, CastroSedovConfig, Engine, ExperimentSpec, Layout, RunMode, Scenario,
 };
 use amr_proxy_io::io_engine::{BackendSpec, CodecSpec, ReadSelection};
 use proptest::prelude::*;
@@ -270,43 +270,53 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `backend_sweep` == its spec compilation, byte-identical.
+    /// The backend enumeration == its spec compilation, byte-identical.
     #[test]
     fn backend_sweep_matches_spec(bases in arb_bases(), backends in arb_backends()) {
+        let spec = ExperimentSpec::over("backends", &bases).backends(&backends);
         prop_assert_eq!(
             canon(&legacy_backend_sweep(&bases, &backends)),
-            canon(&backend_sweep(&bases, &backends))
+            canon(&spec.compile_configs().unwrap())
         );
     }
 
-    /// `backend_codec_sweep` == its spec compilation, byte-identical.
+    /// The backend × codec enumeration == its spec compilation,
+    /// byte-identical.
     #[test]
     fn backend_codec_sweep_matches_spec(
         bases in arb_bases(),
         backends in arb_backends(),
         codecs in arb_codecs(),
     ) {
+        let spec = ExperimentSpec::over("codecs", &bases)
+            .backends(&backends)
+            .codecs(&codecs);
         prop_assert_eq!(
             canon(&legacy_backend_codec_sweep(&bases, &backends, &codecs)),
-            canon(&backend_codec_sweep(&bases, &backends, &codecs))
+            canon(&spec.compile_configs().unwrap())
         );
     }
 
-    /// `restart_sweep` == its spec compilation, byte-identical.
+    /// The restart enumeration == its spec compilation (the `mode`
+    /// axis), byte-identical.
     #[test]
     fn restart_sweep_matches_spec(
         bases in arb_bases(),
         backends in arb_backends(),
         codecs in arb_codecs(),
     ) {
+        let spec = ExperimentSpec::over("restarts", &bases)
+            .backends(&backends)
+            .codecs(&codecs)
+            .modes(&[RunMode::Write, RunMode::Restart]);
         prop_assert_eq!(
             canon(&legacy_restart_sweep(&bases, &backends, &codecs)),
-            canon(&restart_sweep(&bases, &backends, &codecs))
+            canon(&spec.compile_configs().unwrap())
         );
     }
 
-    /// `analysis_sweep` == its spec compilation, byte-identical —
-    /// including the lossy pattern-tag flattening and its index
+    /// The analysis enumeration == its spec compilation (the `pattern`
+    /// and `layout` axes), byte-identical — including the lossy pattern-tag flattening and its index
     /// disambiguation.
     #[test]
     fn analysis_sweep_matches_spec(
@@ -315,18 +325,24 @@ proptest! {
         codecs in arb_codecs(),
         patterns in arb_patterns(),
     ) {
+        let spec = ExperimentSpec::over("analysis", &bases)
+            .backends(&backends)
+            .codecs(&codecs)
+            .patterns(&patterns)
+            .layouts(&[Layout::Raw, Layout::Reorg]);
         prop_assert_eq!(
             canon(&legacy_analysis_sweep(&bases, &backends, &codecs, &patterns)),
-            canon(&analysis_sweep(&bases, &backends, &codecs, &patterns))
+            canon(&spec.compile_configs().unwrap())
         );
     }
 
-    /// `scenario_sweep` == its spec compilation, byte-identical.
+    /// The scenario enumeration == its spec compilation, byte-identical.
     #[test]
     fn scenario_sweep_matches_spec(bases in arb_bases(), scenarios in arb_scenarios()) {
+        let spec = ExperimentSpec::over("scenarios", &bases).scenarios(&scenarios);
         prop_assert_eq!(
             canon(&legacy_scenario_sweep(&bases, &scenarios)),
-            canon(&scenario_sweep(&bases, &scenarios))
+            canon(&spec.compile_configs().unwrap())
         );
     }
 
